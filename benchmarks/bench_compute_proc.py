@@ -1,12 +1,12 @@
-"""P1 — process-backed compute plane: serial vs thread4 vs process4.
+"""PC1 — process-backed compute plane: inline vs thread4 vs process4.
 
-Runs the full complex op-set with the compute plane serial, threaded
+Runs the full complex op-set with the compute plane inline, threaded
 (4 workers) and process-backed (4 workers) over the identical TG
 schedule; emits ``BENCH_compute_proc.json``.
 
 Acceptance bars (the issue's criteria, asserted here):
 
-* rendered frames bit-identical between every backend and serial;
+* rendered frames bit-identical between every backend and inline;
 * the process backend actually dispatches tokenized tasks to worker
   processes (``compute_dispatches > 0``);
 * the deterministic four-core simulator sweep shows >= 3x compute-wall
@@ -40,7 +40,7 @@ SCALE = 0.3
 STEPS = 3
 
 SCENARIOS = (
-    ("serial", 1, "thread"),
+    ("inline", 1, "thread"),
     ("thread4", 4, "thread"),
     ("process4", 4, "process"),
 )
@@ -71,17 +71,17 @@ def sim_sweep():
 
 
 def test_compute_proc_bit_identity(compute_runs):
-    """Every backend renders the serial build's exact bytes."""
-    _w, _b, serial = compute_runs["serial"]
-    frames_serial = image_bytes(serial)
-    assert frames_serial
+    """Every backend renders the inline build's exact bytes."""
+    _w, _b, inline = compute_runs["inline"]
+    frames_inline = image_bytes(inline)
+    assert frames_inline
     for scenario in ("thread4", "process4"):
         _w, _b, run = compute_runs[scenario]
         frames = image_bytes(run)
-        assert frames.keys() == frames_serial.keys()
+        assert frames.keys() == frames_inline.keys()
         assert all(
-            frames[name] == frames_serial[name] for name in frames
-        ), f"{scenario} rendered output differs from serial"
+            frames[name] == frames_inline[name] for name in frames
+        ), f"{scenario} rendered output differs from inline"
 
 
 def test_compute_proc_dispatches(compute_runs):
@@ -115,9 +115,9 @@ def test_compute_proc_json(compute_runs, sim_sweep, results_dir):
         scenario_row(name, workers, backend, result)
         for name, (workers, backend, result) in compute_runs.items()
     ]
-    _w, _b, serial = compute_runs["serial"]
+    _w, _b, inline = compute_runs["inline"]
     _w, _b, process4 = compute_runs["process4"]
-    identical = image_bytes(serial) == image_bytes(process4)
+    identical = image_bytes(inline) == image_bytes(process4)
     path = compute_proc_json(
         results_dir, rows,
         workload={
@@ -126,7 +126,7 @@ def test_compute_proc_json(compute_runs, sim_sweep, results_dir):
         },
         sweep=sweep_rows(sim_sweep),
         speedup_compute=(
-            serial.compute_wall_s / process4.compute_wall_s
+            inline.compute_wall_s / process4.compute_wall_s
             if process4.compute_wall_s > 0 else float("inf")
         ),
         sim_speedup_process4=sweep_speedup(sim_sweep, "process", 4),

@@ -1,16 +1,16 @@
-"""P1 — process-backed compute plane: serial vs thread vs process.
+"""PC1 — process-backed compute plane: inline vs thread vs process.
 
 The :class:`~repro.core.compute_proc.ProcessComputePool` claim is
 GIL-free parallelism over the arena seam: worker processes receive
 sealed shared-memory tokens (zero-copy attach), run the tile rasterizer
 and sub-block marching-tets kernels, and return results as tokens —
-while every frame stays **byte-for-byte identical** to the paper-
-faithful serial build.
+while every frame stays **byte-for-byte identical** to the inline
+build (``compute_workers=1``).
 
 Two measurements back the claim:
 
 * **real runs** — the identical complex-test TG schedule at
-  serial / thread x 4 / process x 4, asserting bit-identity and that the
+  inline / thread x 4 / process x 4, asserting bit-identity and that the
   process backend actually dispatched tokenized tasks (wall speedups on
   a CI box are whatever its core count allows, so the wall is guarded
   by the calibrated baseline rather than a fixed bar);

@@ -476,6 +476,7 @@ class SharedMemoryArena(Arena):
             self._tracked.clear()
         for segment in segments:
             _destroy_segment(segment.shm)
+        release_pinned_mappings()
 
     def report(self) -> dict:
         """Segment count, reserved bytes, and live allocations."""
@@ -493,20 +494,43 @@ class SharedMemoryArena(Arena):
 
 
 #: Mappings whose ``close()`` failed because caller-held views still
-#: pin them. Parking the wrapper here keeps ``SharedMemory.__del__``
+#: pinned them. Parking the wrapper here keeps ``SharedMemory.__del__``
 #: from retrying the close at GC time (an unraisable ``BufferError``);
-#: the pages themselves stay mapped until process exit, which is the
-#: best that can be done while a view is alive — the segment is already
-#: unlinked, so nothing leaks in ``/dev/shm``.
+#: the segment is already unlinked, so nothing leaks in ``/dev/shm``,
+#: but the pages stay mapped until a later retry succeeds — every
+#: :func:`_close_mapping` and every arena or process-pool close retries
+#: the parked closes (:func:`release_pinned_mappings`).
 _PINNED_MAPPINGS: List[shared_memory.SharedMemory] = []
 
 
-def _close_mapping(shm: shared_memory.SharedMemory) -> None:
-    """Unmap one segment, parking it if live views prevent the close."""
+def _try_close(shm: shared_memory.SharedMemory) -> None:
     try:
         shm.close()
     except BufferError:
         _PINNED_MAPPINGS.append(shm)
+
+
+def release_pinned_mappings() -> None:
+    """Retry the close of every parked mapping; the ones whose views
+    are gone unmap, the rest stay parked.
+
+    Lock-free: each parked wrapper is popped once (``list.pop`` and
+    ``append`` are atomic), so concurrent callers never close one
+    mapping twice.
+    """
+    for _ in range(len(_PINNED_MAPPINGS)):
+        try:
+            shm = _PINNED_MAPPINGS.pop(0)
+        except IndexError:
+            return
+        _try_close(shm)
+
+
+def _close_mapping(shm: shared_memory.SharedMemory) -> None:
+    """Unmap one segment, parking it if live views prevent the close
+    (earlier parked mappings are retried first)."""
+    release_pinned_mappings()
+    _try_close(shm)
 
 
 def _destroy_segment(shm: shared_memory.SharedMemory) -> None:

@@ -85,6 +85,7 @@ from repro.core.arena import (
     SharedMemoryArena,
     _close_mapping,
     _destroy_segment,
+    release_pinned_mappings,
 )
 from repro.core.compute import (
     CANCELLED,
@@ -568,6 +569,7 @@ class ProcessComputePool:
             result_q.close()
             result_q.cancel_join_thread()
         sweep_shm_prefix(self.shm_prefix)
+        release_pinned_mappings()
 
     def __enter__(self) -> "ProcessComputePool":
         """Context-manager entry: starts the workers."""

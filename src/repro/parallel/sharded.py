@@ -795,9 +795,6 @@ class ShardedGBO:
             for spec in self._specs
         ]
         t0 = time.perf_counter()
-        for process in self._processes:
-            process.start()
-
         result = ShardedResult(
             n_shards=self.n_shards,
             frames={},
@@ -810,6 +807,14 @@ class ShardedGBO:
         done: Dict[str, ShardReport] = {}
         failure: Optional[Tuple[str, dict]] = None
         try:
+            for process in self._processes:
+                try:
+                    process.start()
+                except Exception as exc:
+                    raise GodivaError(
+                        f"{process.name} failed to start: "
+                        f"{type(exc).__name__}: {exc}"
+                    ) from exc
             while len(done) < self.n_shards and failure is None:
                 try:
                     msg = res_q.get(timeout=self.protocol_timeout_s)
@@ -877,6 +882,8 @@ class ShardedGBO:
             except (OSError, ValueError):
                 pass
         for process in self._processes:
+            if process.pid is None:
+                continue  # never started (a failed spawn)
             process.join(timeout=self.protocol_timeout_s)
             if process.is_alive():
                 process.terminate()

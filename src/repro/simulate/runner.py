@@ -36,8 +36,10 @@ from repro.simulate.workload import TestWorkload
 #: (serialized across workers): Python-level bookkeeping, buffer
 #: handoff, and the interpreter portions of the numpy kernels. With W
 #: workers the GIL-bound fractions queue while the releases overlap, so
-#: compute wall ~= f*C + (1-f)*C/W — calibrated to the real thread
-#: pool's ~2.3-2.4x at four workers on the complex op-set.
+#: compute wall ~= f*C + (1-f)*C/W — calibrated to R1's old ~2.4x at
+#: four workers on the complex op-set, a figure that mostly measured
+#: the tiled rasterizer against the per-triangle loop it replaced, not
+#: thread parallelism (EXPERIMENTS.md R1).
 THREAD_GIL_FRACTION = 0.25
 
 #: Per-task overhead of the *process* pool as a fraction of the task's

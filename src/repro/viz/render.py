@@ -5,30 +5,38 @@ shades them with per-vertex colors (Gouraud) modulated by a single
 directional light, and composites into an RGB image — the VTK-replacement
 needed to make Voyager produce actual image files.
 
-Two rasterization paths produce byte-for-byte identical frames:
+One rasterization algorithm, three dispatch modes. Triangles bin to
+screen-space tiles; each tile composites independently (disjoint frame/
+z-buffer regions), evaluating its triangles in chunked vectorized
+batches that preserve submission order. The tiles of one draw run
 
-* the **serial** per-triangle loop (the original implementation, used
-  when no parallel :class:`~repro.core.compute.ComputePool` is
-  attached), and
-* the **tiled** path: triangles bin to screen-space tiles, each tile
-  composites independently (one pool task per tile, disjoint frame/
-  z-buffer regions), and within a tile triangles are evaluated in
-  chunked vectorized batches that preserve submission order.
+* **inline** — no pool, or a pool that is not parallel: the renderer
+  calls the tile kernel directly (no task objects, no compute stats);
+* on a **thread** :class:`~repro.core.compute.ComputePool`: one task
+  per tile, compositing in place into the renderer's buffers;
+* on a **process** pool (``pool.distributed``): one
+  :func:`composite_tile_task` per tile over per-draw arrays shared
+  once, returning the tile's pixels.
 
-Determinism argument for the tiled path: per-pixel floats are computed
-with the same operands in the same association order as the serial
-loop (pixel centers are exact ``integer + 0.5`` values either way), the
-per-chunk winner is selected with ``argmin`` — which returns the
-*first* index attaining the minimum, i.e. the earliest-submitted
-triangle — and the z-test against the tile buffer is the same strict
-``pixel_z < z`` comparison, so later triangles never overwrite an
-equal-depth earlier one. An explicit per-triangle bbox mask confines
-evaluation to exactly the pixels the serial loop touches.
+Every mode runs the same kernel, so frames are byte-for-byte identical.
+The reference semantics are the classic per-triangle rule — each
+triangle, in submission order, covers the pixels of its clipped bbox
+whose barycentric weights are all non-negative, and writes a pixel only
+when it is strictly nearer than the z-buffer. The kernel reproduces it
+exactly: per-pixel floats are computed with the same operands in the
+same association order (pixel centers are exact ``integer + 0.5``
+values), the per-chunk winner is selected with ``argmin`` — which
+returns the *first* index attaining the minimum, i.e. the earliest-
+submitted triangle — and the z-test against the tile buffer is the same
+strict ``pixel_z < z`` comparison, so later triangles never overwrite
+an equal-depth earlier one. An explicit per-triangle bbox mask confines
+evaluation to exactly each triangle's own pixels. The test suite pins
+this against a per-triangle reference rasterizer.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -37,7 +45,7 @@ from repro.viz.colormap import Colormap
 from repro.viz.geometry import triangle_normals
 from repro.viz.isosurface import TriangleSoup
 
-#: Screen-space tile edge in pixels — the parallel compositing grain.
+#: Screen-space tile edge in pixels — the compositing and dispatch grain.
 TILE_SIZE = 64
 #: Triangles per vectorized batch inside a tile. Marching-tets emits
 #: triangles in cell order, so consecutive triangles are spatially
@@ -45,24 +53,35 @@ TILE_SIZE = 64
 CHUNK_SIZE = 16
 
 
+def _tile_region(ty: int, tx: int, height: int,
+                 width: int) -> Tuple[slice, slice]:
+    """The ``(rows, cols)`` pixel slices of screen tile ``(ty, tx)``."""
+    y0 = ty * TILE_SIZE
+    x0 = tx * TILE_SIZE
+    return (slice(y0, min(y0 + TILE_SIZE, height)),
+            slice(x0, min(x0 + TILE_SIZE, width)))
+
+
 def _composite_chunks(tri: np.ndarray, pts: np.ndarray, zs: np.ndarray,
                       cols: np.ndarray, x_min: np.ndarray,
                       x_max: np.ndarray, y_min: np.ndarray,
                       y_max: np.ndarray, denom: np.ndarray,
                       zbuf: np.ndarray, frame: np.ndarray,
-                      px0: int, px1: int, py0: int, py1: int) -> None:
-    """Composite one tile's triangles in submission order.
+                      region: Tuple[slice, slice]) -> None:
+    """Composite one tile's triangles ``tri`` in submission order.
 
-    ``zbuf``/``frame`` cover exactly the tile's pixel region
-    ``[py0..py1] × [px0..px1]`` and are updated in place — the thread
-    path passes views of the renderer's buffers, the process path a
-    worker-local copy. Triangles are evaluated in chunks of CHUNK_SIZE
-    over the chunk's union bbox (clipped to the tile); within a chunk
-    the depth winner per pixel is the *first* minimum (``argmin``), and
-    chunks apply in ascending submission order with the strict
-    ``z < zbuffer`` test — together exactly the serial loop's
-    first-wins-on-ties compositing rule.
+    ``zbuf``/``frame`` cover exactly the tile's pixel ``region`` and
+    are updated in place — inline and thread dispatch pass views of
+    the renderer's buffers, the process path a worker-local copy.
+    Triangles are evaluated in chunks of CHUNK_SIZE over the chunk's
+    union bbox (clipped to the tile); within a chunk the depth winner
+    per pixel is the *first* minimum (``argmin``), and chunks apply in
+    ascending submission order with the strict ``z < zbuffer`` test —
+    together exactly the per-triangle first-wins-on-ties rule.
     """
+    rows, columns = region
+    py0, py1 = rows.start, rows.stop - 1
+    px0, px1 = columns.start, columns.stop - 1
     # Tile-wide pixel index vectors, sliced per chunk below.
     tix = np.arange(px0, px1 + 1)
     tiy = np.arange(py0, py1 + 1)
@@ -74,8 +93,7 @@ def _composite_chunks(tri: np.ndarray, pts: np.ndarray, zs: np.ndarray,
         uy1 = min(int(y_max[chunk].max()), py1)
         ix = tix[ux0 - px0:ux1 + 1 - px0]
         iy = tiy[uy0 - py0:uy1 + 1 - py0]
-        # Pixel centers: exact integer + 0.5 floats, the same
-        # values the serial loop's meshgrid produces.
+        # Pixel centers: exact integer + 0.5 floats.
         gx = (ix + 0.5)[None, None, :]
         gy = (iy + 0.5)[None, :, None]
         ixg = ix[None, None, :]
@@ -94,9 +112,9 @@ def _composite_chunks(tri: np.ndarray, pts: np.ndarray, zs: np.ndarray,
         w1 = ((y2 - y0) * (gx - x2) + (x0 - x2) * (gy - y2)) / d
         w2 = 1.0 - w0 - w1
         inside = (w0 >= 0) & (w1 >= 0) & (w2 >= 0)
-        # Confine each triangle to its own bbox — the serial loop
-        # never evaluates coverage outside it, and float roundoff
-        # could otherwise admit hull-adjacent pixels.
+        # Confine each triangle to its own bbox — the chunk's union
+        # bbox is wider, and float roundoff could otherwise admit
+        # hull-adjacent pixels.
         mx = (ixg >= x_min[chunk][:, None, None]) \
             & (ixg <= x_max[chunk][:, None, None])
         my = (iyg >= y_min[chunk][:, None, None]) \
@@ -106,11 +124,12 @@ def _composite_chunks(tri: np.ndarray, pts: np.ndarray, zs: np.ndarray,
         a0 = w0 / z[:, 0][:, None, None]
         a1 = w1 / z[:, 1][:, None, None]
         a2 = w2 / z[:, 2][:, None, None]
+        # Perspective-correct interpolation of depth and color.
         inv_z = a0 + a1 + a2
         pixel_z = 1.0 / np.where(inv_z > 0, inv_z, np.inf)
         cand = np.where(inside, pixel_z, np.inf)
         # First index attaining the minimum == earliest submission:
-        # the serial strict-less tie-break, vectorized.
+        # the strict-less tie-break, vectorized.
         k = np.argmin(cand, axis=0)[None, :, :]
         zmin = np.take_along_axis(cand, k, 0)[0]
         better = zmin < ztile
@@ -120,8 +139,8 @@ def _composite_chunks(tri: np.ndarray, pts: np.ndarray, zs: np.ndarray,
         aw1 = np.take_along_axis(a1, k, 0)[0]
         aw2 = np.take_along_axis(a2, k, 0)[0]
         cw = cols[chunk][k[0]]                 # (uh, uw, 3, 3)
-        # Same association order as the serial color blend. Lanes
-        # that lost (zmin == inf) may produce inf/nan here; they
+        # Same association order as the per-triangle color blend.
+        # Lanes that lost (zmin == inf) may produce inf/nan here; they
         # are masked out by `better`.
         with np.errstate(invalid="ignore"):
             r = (
@@ -133,12 +152,12 @@ def _composite_chunks(tri: np.ndarray, pts: np.ndarray, zs: np.ndarray,
         ftile[better] = r[better]
 
 
-def composite_tile_task(ty: int, tx: int, tile: int, height: int,
-                        width: int, tri: np.ndarray, pts: np.ndarray,
-                        zs: np.ndarray, cols: np.ndarray,
-                        x_min: np.ndarray, x_max: np.ndarray,
-                        y_min: np.ndarray, y_max: np.ndarray,
-                        denom: np.ndarray, frame_tile: np.ndarray,
+def composite_tile_task(region: Tuple[slice, slice], tri: np.ndarray,
+                        pts: np.ndarray, zs: np.ndarray,
+                        cols: np.ndarray, x_min: np.ndarray,
+                        x_max: np.ndarray, y_min: np.ndarray,
+                        y_max: np.ndarray, denom: np.ndarray,
+                        frame_tile: np.ndarray,
                         z_tile: np.ndarray) -> tuple:
     """Pure compositing kernel for one tile — the process-pool task.
 
@@ -148,18 +167,13 @@ def composite_tile_task(ty: int, tx: int, tile: int, height: int,
     re-import it and receive the per-draw arrays as zero-copy tokens.
     ``frame_tile``/``z_tile`` carry the tile's pre-draw pixels
     (read-only in the worker); the kernel copies them and runs the
-    exact :func:`_composite_chunks` arithmetic the thread path runs in
-    place, so the returned ``(frame, z)`` pair is byte-identical to
-    the serial result for this tile.
+    exact :func:`_composite_chunks` arithmetic inline dispatch runs in
+    place, so the returned ``(frame, z)`` pair is byte-identical.
     """
     frame = np.array(frame_tile, dtype=np.float64)
     zbuf = np.array(z_tile, dtype=np.float64)
-    py0 = ty * tile
-    py1 = min(py0 + tile, height) - 1
-    px0 = tx * tile
-    px1 = min(px0 + tile, width) - 1
     _composite_chunks(tri, pts, zs, cols, x_min, x_max, y_min, y_max,
-                      denom, zbuf, frame, px0, px1, py0, py1)
+                      denom, zbuf, frame, region)
     return frame, zbuf
 
 
@@ -169,8 +183,7 @@ class Renderer:
     def __init__(self, camera: Camera,
                  background: Sequence[float] = (0.08, 0.08, 0.12),
                  light_dir: Sequence[float] = (0.4, 0.3, 0.85),
-                 pool: Optional[object] = None,
-                 tile_size: int = TILE_SIZE):
+                 pool: Optional[object] = None):
         self.camera = camera
         height, width = camera.height, camera.width
         bg = np.asarray(background, dtype=np.float64)
@@ -178,10 +191,10 @@ class Renderer:
         self._zbuffer = np.full((height, width), np.inf)
         light = np.asarray(light_dir, dtype=np.float64)
         self._light = light / np.linalg.norm(light)
-        #: Optional :class:`~repro.core.compute.ComputePool`; the tiled
-        #: parallel path activates only when ``pool.parallel`` is true.
-        self._pool = pool
-        self._tile = int(tile_size)
+        #: The :class:`~repro.core.compute.ComputePool` tiles dispatch
+        #: to, or None to composite them inline (a pool that is not
+        #: parallel would only run them inline itself).
+        self._pool = pool if getattr(pool, "parallel", False) else None
         #: Total triangles submitted (pipeline statistics).
         self.triangles_drawn = 0
         #: Triangles dropped by the near-plane cull. Any triangle with
@@ -226,12 +239,13 @@ class Renderer:
 
     def _rasterize(self, vertices: np.ndarray,
                    colors: np.ndarray) -> None:
-        """Scanline-free barycentric rasterization, one triangle at a
-        time with vectorized pixel coverage (serial path), or tiled in
-        parallel when a multi-worker pool is attached."""
+        """Bin the drawable triangles to screen tiles and composite
+        every tile the draw touches — inline, or as pool tasks (tiles
+        are disjoint buffer regions, so tasks share no mutable state
+        and need no locks). One barrier per draw keeps inter-draw
+        ordering fixed."""
         height, width = self._zbuffer.shape
-        flat = vertices.reshape(-1, 3)
-        xy, depth = self.camera.project(flat)
+        xy, depth = self.camera.project(vertices.reshape(-1, 3))
         xy = xy.reshape(-1, 3, 2)
         depth = depth.reshape(-1, 3)
 
@@ -239,186 +253,80 @@ class Renderer:
         # clipping; see triangles_culled).
         visible = np.all(depth > self.camera.near, axis=1)
         self.triangles_culled += int(visible.size - int(visible.sum()))
-        pool = self._pool
-        if pool is not None and getattr(pool, "parallel", False):
-            self._rasterize_tiled(xy, depth, colors, visible, pool)
-            return
-        for tri_index in np.nonzero(visible)[0]:
-            pts = xy[tri_index]                            # (3, 2)
-            zs = depth[tri_index]                          # (3,)
-            cols = colors[tri_index]                       # (3, 3)
-            x_min = max(int(np.floor(pts[:, 0].min())), 0)
-            x_max = min(int(np.ceil(pts[:, 0].max())), width - 1)
-            y_min = max(int(np.floor(pts[:, 1].min())), 0)
-            y_max = min(int(np.ceil(pts[:, 1].max())), height - 1)
-            if x_min > x_max or y_min > y_max:
-                continue
-            (x0, y0), (x1, y1), (x2, y2) = pts
-            denom = (y1 - y2) * (x0 - x2) + (x2 - x1) * (y0 - y2)
-            if abs(denom) < 1e-12:
-                continue  # degenerate in screen space
-            gx, gy = np.meshgrid(
-                np.arange(x_min, x_max + 1) + 0.5,
-                np.arange(y_min, y_max + 1) + 0.5,
-            )
-            w0 = ((y1 - y2) * (gx - x2) + (x2 - x1) * (gy - y2)) / denom
-            w1 = ((y2 - y0) * (gx - x2) + (x0 - x2) * (gy - y2)) / denom
-            w2 = 1.0 - w0 - w1
-            inside = (w0 >= 0) & (w1 >= 0) & (w2 >= 0)
-            if not inside.any():
-                continue
-            # Perspective-correct interpolation of depth and color.
-            inv_z = w0 / zs[0] + w1 / zs[1] + w2 / zs[2]
-            pixel_z = 1.0 / np.where(inv_z > 0, inv_z, np.inf)
-            zslice = self._zbuffer[y_min:y_max + 1, x_min:x_max + 1]
-            closer = inside & (pixel_z < zslice)
-            if not closer.any():
-                continue
-            r = (
-                (w0 / zs[0])[..., None] * cols[0]
-                + (w1 / zs[1])[..., None] * cols[1]
-                + (w2 / zs[2])[..., None] * cols[2]
-            ) * pixel_z[..., None]
-            zslice[closer] = pixel_z[closer]
-            fslice = self._frame[y_min:y_max + 1, x_min:x_max + 1]
-            fslice[closer] = r[closer]
-
-    # ------------------------------------------------------------------
-    # Tiled parallel path
-    # ------------------------------------------------------------------
-    def _rasterize_tiled(self, xy: np.ndarray, depth: np.ndarray,
-                         colors: np.ndarray, visible: np.ndarray,
-                         pool) -> None:
-        """Bin visible triangles to screen tiles and composite each tile
-        as an independent pool task (disjoint buffer regions, so tasks
-        share no mutable state and need no locks). One barrier per draw
-        call keeps inter-draw ordering identical to the serial path."""
-        height, width = self._zbuffer.shape
-        index = np.nonzero(visible)[0]
-        if index.size == 0:
-            return
-        pts = xy[index]                                # (n, 3, 2)
-        zs = depth[index]                              # (n, 3)
-        cols = colors[index]                           # (n, 3, 3)
-        x = pts[:, :, 0]
-        y = pts[:, :, 1]
-        x_min = np.maximum(
-            np.floor(x.min(axis=1)).astype(np.int64), 0
-        )
-        x_max = np.minimum(
-            np.ceil(x.max(axis=1)).astype(np.int64), width - 1
-        )
-        y_min = np.maximum(
-            np.floor(y.min(axis=1)).astype(np.int64), 0
-        )
-        y_max = np.minimum(
-            np.ceil(y.max(axis=1)).astype(np.int64), height - 1
-        )
+        x = xy[:, :, 0]
+        y = xy[:, :, 1]
+        x_min = np.maximum(np.floor(x.min(axis=1)).astype(np.int64), 0)
+        x_max = np.minimum(np.ceil(x.max(axis=1)).astype(np.int64),
+                           width - 1)
+        y_min = np.maximum(np.floor(y.min(axis=1)).astype(np.int64), 0)
+        y_max = np.minimum(np.ceil(y.max(axis=1)).astype(np.int64),
+                           height - 1)
         denom = (
             (y[:, 1] - y[:, 2]) * (x[:, 0] - x[:, 2])
             + (x[:, 2] - x[:, 1]) * (y[:, 0] - y[:, 2])
         )
-        # Same skips the serial loop applies: off-screen bboxes and
-        # screen-degenerate triangles contribute nothing.
-        drawable = (
-            (x_min <= x_max) & (y_min <= y_max)
+        # Culled triangles, off-screen bboxes and screen-degenerate
+        # triangles contribute nothing. One fancy-index takes the
+        # drawable rows (ascending, so submission order is kept) — the
+        # draw's only per-draw copy, and what the process path shares.
+        keep = np.nonzero(
+            visible & (x_min <= x_max) & (y_min <= y_max)
             & (np.abs(denom) >= 1e-12)
-        )
-        keep = np.nonzero(drawable)[0]   # ascending: submission order
+        )[0]
         if keep.size == 0:
             return
-        pts = pts[keep]
-        zs = zs[keep]
-        cols = cols[keep]
-        x_min = x_min[keep]
-        x_max = x_max[keep]
-        y_min = y_min[keep]
-        y_max = y_max[keep]
-        denom = denom[keep]
-        tile = self._tile
-        tx_lo = x_min // tile
-        tx_hi = x_max // tile
-        ty_lo = y_min // tile
-        ty_hi = y_max // tile
+        arrays = tuple(a[keep] for a in (
+            xy, depth, colors, x_min, x_max, y_min, y_max, denom,
+        ))
+        x_min, x_max, y_min, y_max = arrays[3:7]
+        ty_lo = y_min // TILE_SIZE
+        ty_hi = y_max // TILE_SIZE
+        tx_lo = x_min // TILE_SIZE
+        tx_hi = x_max // TILE_SIZE
+        pool = self._pool
         distributed = getattr(pool, "distributed", False)
         if distributed:
             # Process backend: the per-draw arrays are shared once (a
             # token export or one staging copy) instead of being
             # pickled into every tile's message.
-            shared = [pool.share(a) for a in
-                      (pts, zs, cols, x_min, x_max, y_min, y_max,
-                       denom)]
-        tasks: List[object] = []
-        for ty in range((height + tile - 1) // tile):
+            shared = [pool.share(a) for a in arrays]
+        tasks: List[tuple] = []
+        for ty in range((height + TILE_SIZE - 1) // TILE_SIZE):
             row = (ty_lo <= ty) & (ty <= ty_hi)
             if not row.any():
                 continue
-            for tx in range((width + tile - 1) // tile):
-                mask = row & (tx_lo <= tx) & (tx <= tx_hi)
-                if not mask.any():
-                    continue
+            for tx in range((width + TILE_SIZE - 1) // TILE_SIZE):
                 # nonzero is ascending, so each tile sees its triangles
                 # in original submission order.
-                tri = np.nonzero(mask)[0]
-                if distributed:
-                    py0 = ty * tile
-                    py1 = min(py0 + tile, height) - 1
-                    px0 = tx * tile
-                    px1 = min(px0 + tile, width) - 1
-                    tasks.append((ty, tx, pool.submit(
-                        composite_tile_task, ty, tx, tile, height,
-                        width, tri, *shared,
-                        self._frame[py0:py1 + 1, px0:px1 + 1],
-                        self._zbuffer[py0:py1 + 1, px0:px1 + 1],
+                tri = np.nonzero(row & (tx_lo <= tx) & (tx <= tx_hi))[0]
+                if tri.size == 0:
+                    continue
+                region = _tile_region(ty, tx, height, width)
+                if pool is None:
+                    self._composite_tile(region, tri, *arrays)
+                elif distributed:
+                    tasks.append((region, pool.submit(
+                        composite_tile_task, region, tri, *shared,
+                        self._frame[region], self._zbuffer[region],
                     )))
                 else:
-                    tasks.append(pool.submit(
-                        self._composite_tile, ty, tx, tri, pts, zs,
-                        cols, x_min, x_max, y_min, y_max, denom,
-                    ))
-        if distributed:
-            # Tiles are disjoint, so merge order is immaterial; the
-            # per-draw barrier below is the same one the thread path
-            # has always had.
-            for ty, tx, task in tasks:
-                frame_tile, z_tile = task.wait()
-                py0 = ty * tile
-                py1 = min(py0 + tile, height) - 1
-                px0 = tx * tile
-                px1 = min(px0 + tile, width) - 1
-                self._frame[py0:py1 + 1, px0:px1 + 1] = frame_tile
-                self._zbuffer[py0:py1 + 1, px0:px1 + 1] = z_tile
-                if hasattr(task, "release"):
-                    task.release()
-            return
-        for task in tasks:
-            task.wait()
+                    tasks.append((region, pool.submit(
+                        self._composite_tile, region, tri, *arrays,
+                    )))
+        for region, task in tasks:
+            result = task.wait()
+            if distributed:
+                # Tiles are disjoint, so merge order is immaterial.
+                self._frame[region], self._zbuffer[region] = result
+                task.release()
 
-    def _composite_tile(self, ty: int, tx: int, tri: np.ndarray,
-                        pts: np.ndarray, zs: np.ndarray,
-                        cols: np.ndarray, x_min: np.ndarray,
-                        x_max: np.ndarray, y_min: np.ndarray,
-                        y_max: np.ndarray,
-                        denom: np.ndarray) -> None:
-        """Composite one tile in place (thread/steal execution).
-
-        Passes views of the renderer's frame/z-buffer regions to
-        :func:`_composite_chunks` — the identical arithmetic the
-        process backend runs on a worker-local copy via
-        :func:`composite_tile_task`.
-        """
-        tile = self._tile
-        height, width = self._zbuffer.shape
-        py0 = ty * tile
-        py1 = min(py0 + tile, height) - 1
-        px0 = tx * tile
-        px1 = min(px0 + tile, width) - 1
-        _composite_chunks(
-            tri, pts, zs, cols, x_min, x_max, y_min, y_max, denom,
-            self._zbuffer[py0:py1 + 1, px0:px1 + 1],
-            self._frame[py0:py1 + 1, px0:px1 + 1],
-            px0, px1, py0, py1,
-        )
+    def _composite_tile(self, region: Tuple[slice, slice],
+                        tri: np.ndarray, *arrays: np.ndarray) -> None:
+        """Composite one tile in place into the renderer's buffers
+        (inline and thread dispatch) — the arithmetic
+        :func:`composite_tile_task` runs on a worker-local copy."""
+        _composite_chunks(tri, *arrays, self._zbuffer[region],
+                          self._frame[region], region)
 
     def draw_colorbar(self, colormap: Colormap,
                       width: int = 12,

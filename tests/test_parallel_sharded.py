@@ -1,12 +1,14 @@
 """ShardedGBO: real shard processes, byte-identity, budget protocol."""
 
 import glob
+import multiprocessing
+from multiprocessing.context import SpawnProcess
 
 import numpy as np
 import pytest
 
 from repro.core.database import GBO
-from repro.errors import GodivaDeadlockError
+from repro.errors import GodivaDeadlockError, GodivaError
 from repro.io.readers import (
     make_snapshot_read_fn,
     snapshot_unit_name,
@@ -76,6 +78,32 @@ class TestByteIdentity:
                         mem_mb=64.0) as cluster:
             cluster.render_all()
         assert set(glob.glob("/dev/shm/godiva-*")) == before
+
+
+class TestFailedSpawn:
+    def test_close_after_failed_host_start(self, small_dataset,
+                                           monkeypatch):
+        # The second host's start fails: render_all reports it by name,
+        # the started host is shut down, and close() is quiet.
+        started = []
+        real_start = SpawnProcess.start
+
+        def start(process):
+            if started:
+                raise OSError("no more processes")
+            started.append(process)
+            real_start(process)
+
+        monkeypatch.setattr(SpawnProcess, "start", start)
+        cluster = ShardedGBO(small_dataset.directory, 2, test=TEST,
+                             mem_mb=64.0, steps=2)
+        with pytest.raises(GodivaError, match="shard1 failed to start"):
+            cluster.render_all()
+        cluster.close()
+        assert len(started) == 1
+        assert not started[0].is_alive()
+        assert not [p for p in multiprocessing.active_children()
+                    if p.name in cluster.shard_ids]
 
 
 class TestBudgetProtocol:

@@ -9,6 +9,7 @@ the floats are computed, never their values or order.
 Marked ``races`` so the sanitizer replays the coordinator locking.
 """
 
+import gc
 import os
 
 import numpy as np
@@ -17,11 +18,15 @@ import pytest
 from repro.core.compute import ComputePool
 from repro.core.compute_proc import ProcessComputePool
 from repro.core.database import GBO
+from repro.viz.camera import Camera
+from repro.viz.colormap import Colormap
 from repro.viz.isosurface import (
+    TriangleSoup,
     marching_tets,
     marching_tets_pieces,
     merge_tet_pieces,
 )
+from repro.viz.render import Renderer
 from repro.viz.voyager import Voyager, VoyagerConfig
 
 pytestmark = pytest.mark.races
@@ -32,6 +37,15 @@ def _shm_entries(prefix):
         return [n for n in os.listdir("/dev/shm") if prefix in n]
     except FileNotFoundError:
         return []
+
+
+def _shm_mapping_lines():
+    """Mapped /dev/shm segments; multiprocessing's semaphores (also
+    files there, ``sem.*``) live as long as their queues and are not
+    counted."""
+    with open("/proc/self/maps") as maps:
+        return sum(1 for line in maps if "/dev/shm/" in line
+                   and "/dev/shm/sem." not in line)
 
 
 def _random_mesh(n_nodes=400, n_tets=900, seed=3):
@@ -141,6 +155,34 @@ class TestProcessBackendVoyager:
                              mode="O", snapshot_indices=[0])
         for a, b in zip(serial, proc):
             assert np.array_equal(a, b)
+
+
+class TestPinnedMappings:
+    def test_runs_leave_shm_mappings_flat(self):
+        """A staging segment freed while a view still pins it is parked
+        and its close retried later: three process-pool runs leave no
+        more /dev/shm mappings behind than one. (Small segments make
+        every run retire, and so park, several of them.)"""
+        rng = np.random.default_rng(1)
+        n = 1000
+        soup = TriangleSoup(
+            rng.uniform(-2, 2, size=(n, 1, 3))
+            + rng.uniform(-0.1, 0.1, size=(n, 3, 3)),
+            rng.uniform(0, 1, size=(n, 3)),
+        )
+        camera = Camera(position=(0.0, -5.0, 0.0),
+                        look_at=(0.0, 0.0, 0.0), up=(0, 0, 1),
+                        width=200, height=150)
+        counts = []
+        for _run in range(3):
+            with ProcessComputePool(2, segment_bytes=1 << 16) as pool:
+                for _draw in range(3):
+                    Renderer(camera, pool=pool).draw(soup,
+                                                     Colormap("heat"))
+                assert pool.stats.compute_dispatches > 0
+            gc.collect()
+            counts.append(_shm_mapping_lines())
+        assert counts == [counts[0]] * 3, counts
 
 
 class TestGBOBackendWiring:

@@ -1,10 +1,11 @@
-"""Bit-identity of the tiled-parallel compute plane.
+"""Bit-identity of the tiled rasterizer and its compute plane.
 
 The contract under test (DESIGN.md, compute plane): for any op-set,
 memory budget, and mode, frames produced with ``compute_workers > 1``
-are **byte-for-byte identical** to the serial build's — tiling, chunked
-compositing, helping waiters, and frame pipelining change the schedule,
-never the pixels.
+are **byte-for-byte identical** to the inline build's — tile dispatch,
+helping waiters, and frame pipelining change the schedule, never the
+pixels — and every dispatch mode (inline, thread, process) matches the
+per-triangle reference rasterizer in ``raster_reference.py``.
 
 Marked ``races`` so the sanitizer job replays the threaded paths under
 the lockset race detector and lock-order graph.
@@ -14,13 +15,17 @@ import numpy as np
 import pytest
 
 from repro.core.compute import ComputePool
+from repro.core.compute_proc import ProcessComputePool
 from repro.core.database import GBO
 from repro.errors import DatabaseClosedError
 from repro.viz.camera import Camera
 from repro.viz.colormap import Colormap
 from repro.viz.isosurface import TriangleSoup
 from repro.viz.render import Renderer
+from repro.viz import pipeline as pipeline_module
 from repro.viz.voyager import Voyager, VoyagerConfig
+
+from raster_reference import ReferenceRenderer
 
 pytestmark = pytest.mark.races
 
@@ -110,9 +115,10 @@ class TestVoyagerBitIdentity:
             assert a == b
 
 
-def camera_64():
+def camera_wide():
+    # 200x150 spans a 4x3 grid of 64-pixel tiles, ragged at the edges.
     return Camera(position=(0.0, -5.0, 0.0), look_at=(0.0, 0.0, 0.0),
-                  up=(0, 0, 1), width=64, height=64)
+                  up=(0, 0, 1), width=200, height=150)
 
 
 def random_soup(n, seed, spread=2.0, behind=0):
@@ -126,47 +132,124 @@ def random_soup(n, seed, spread=2.0, behind=0):
     return TriangleSoup(verts, values)
 
 
+def duplicate_soup():
+    # Identical triangles produce identical depths at every covered
+    # pixel: the reference keeps the *first* submission (strict
+    # z < zbuffer), so the second copy's colors must never show.
+    base = random_soup(40, seed=3)
+    return TriangleSoup(
+        np.concatenate([base.vertices, base.vertices]),
+        np.concatenate([base.values, 1.0 - base.values]),
+    )
+
+
+@pytest.fixture(scope="module")
+def process_pool():
+    with ProcessComputePool(2, name="oracle-proc") as pool:
+        yield pool
+
+
+def draw_all(process_pool, *soups):
+    """Draw ``soups`` in order with the reference and each dispatch
+    mode."""
+    renderers = {"reference": ReferenceRenderer(camera_wide()),
+                 "inline": Renderer(camera_wide()),
+                 "process": Renderer(camera_wide(), pool=process_pool)}
+    with ComputePool(4, spawn_threads=2) as pool:
+        renderers["thread"] = Renderer(camera_wide(), pool=pool)
+        for renderer in renderers.values():
+            for soup in soups:
+                renderer.draw(soup, Colormap("rainbow"))
+    return renderers
+
+
+def assert_matches_reference(renderers):
+    reference = renderers["reference"]
+    for name, renderer in renderers.items():
+        assert np.array_equal(renderer._zbuffer, reference._zbuffer), name
+        assert np.array_equal(renderer._frame, reference._frame), name
+        assert np.array_equal(renderer.image(), reference.image()), name
+
+
 class TestRendererBitIdentity:
-    def draw_both(self, soup):
-        serial = Renderer(camera_64())
-        serial.draw(soup, Colormap("rainbow"))
-        with ComputePool(4, spawn_threads=2) as pool:
-            tiled = Renderer(camera_64(), pool=pool)
-            tiled.draw(soup, Colormap("rainbow"))
-        return serial, tiled
+    """Inline, thread and process dispatch against the per-triangle
+    reference rasterizer (``tests/raster_reference.py``)."""
 
-    def test_random_soup_identical(self):
-        serial, tiled = self.draw_both(random_soup(200, seed=7))
-        assert np.array_equal(serial._zbuffer, tiled._zbuffer)
-        assert np.array_equal(serial._frame, tiled._frame)
-        assert np.array_equal(serial.image(), tiled.image())
+    def test_random_soup_identical(self, process_pool):
+        for n, seed in ((200, 7), (2000, 8), (500, 9)):
+            renderers = draw_all(process_pool, random_soup(n, seed=seed))
+            assert_matches_reference(renderers)
+        assert process_pool.stats.compute_dispatches > 0
 
-    def test_duplicate_coplanar_triangles_tie_break(self):
-        # Identical triangles produce identical depths at every covered
-        # pixel: the serial rule keeps the *first* submission (strict
-        # z < zbuffer). The tiled path must pick the same winner.
-        base = random_soup(8, seed=3)
-        dup = TriangleSoup(
-            np.concatenate([base.vertices, base.vertices]),
-            np.concatenate([base.values, 1.0 - base.values]),
+    def test_duplicate_coplanar_triangles_tie_break(self, process_pool):
+        assert_matches_reference(draw_all(process_pool,
+                                          duplicate_soup()))
+
+    def test_near_plane_cull_parity(self, process_pool):
+        soup = random_soup(300, seed=11, behind=40)
+        renderers = draw_all(process_pool, soup)
+        assert_matches_reference(renderers)
+        for renderer in renderers.values():
+            assert renderer.triangles_culled == 40
+
+    def test_successive_draws(self, process_pool):
+        # The z-buffer carries across draws: a later draw's equal-depth
+        # triangle never replaces an earlier draw's.
+        soup = random_soup(150, seed=21)
+        assert_matches_reference(draw_all(process_pool, soup,
+                                          duplicate_soup(), soup))
+
+    @pytest.mark.parametrize("workers", [None, 1])
+    def test_serial_pools_run_tiles_inline(self, workers, monkeypatch):
+        # No pool, or a pool that is not parallel: the renderer calls
+        # the tile kernel itself and submits nothing.
+        calls = []
+        kernel = Renderer._composite_tile
+
+        def counting(self, *args):
+            calls.append(args[0])
+            return kernel(self, *args)
+
+        monkeypatch.setattr(Renderer, "_composite_tile", counting)
+        pool = None if workers is None else ComputePool(workers)
+        soup = random_soup(200, seed=1)
+        renderer = Renderer(camera_wide(), pool=pool)
+        renderer.draw(soup, Colormap("gray"))
+        reference = ReferenceRenderer(camera_wide())
+        reference.draw(soup, Colormap("gray"))
+        assert len(calls) > 1
+        assert np.array_equal(renderer.image(), reference.image())
+        if pool is not None:
+            assert pool.stats.compute_tasks == 0
+            pool.close()
+
+
+@pytest.mark.parametrize("test", ["simple", "medium", "complex"])
+def test_original_build_frame_matches_reference(small_dataset, test,
+                                                monkeypatch):
+    """One O-build Voyager frame per op-set: inline, thread and process
+    builds against the reference rasterizer."""
+    def frame(workers, backend="thread"):
+        config = VoyagerConfig(
+            data_dir=small_dataset.directory, test=test, mode="O",
+            compute_workers=workers, compute_backend=backend,
+            render=True, snapshot_indices=[1],
         )
-        serial, tiled = self.draw_both(dup)
-        assert np.array_equal(serial.image(), tiled.image())
+        voyager = Voyager(config)
+        frames = []
+        voyager._maybe_write_image = (
+            lambda step, image, images: frames.append(image.copy())
+        )
+        voyager.run()
+        assert len(frames) == 1
+        return frames[0]
 
-    def test_near_plane_cull_parity(self):
-        soup = random_soup(50, seed=11, behind=10)
-        serial, tiled = self.draw_both(soup)
-        assert serial.triangles_culled == tiled.triangles_culled == 10
-        assert np.array_equal(serial.image(), tiled.image())
-
-    def test_serial_pool_uses_serial_path(self):
-        # A workers=1 pool is not parallel: the renderer must take the
-        # plain serial loop, not the tiled one.
-        pool = ComputePool(1)
-        renderer = Renderer(camera_64(), pool=pool)
-        renderer.draw(random_soup(10, seed=1), Colormap("gray"))
-        assert pool.stats.compute_tasks == 0
-        pool.close()
+    builds = {"inline": frame(1), "thread": frame(4),
+              "process": frame(2, "process")}
+    monkeypatch.setattr(pipeline_module, "Renderer", ReferenceRenderer)
+    reference = frame(1)
+    for name, image in builds.items():
+        assert np.array_equal(image, reference), name
 
 
 class TestTryWaitUnit:
